@@ -2,11 +2,11 @@
 
 The repo ships several *pairs* (or families) of implementations that claim
 observational equivalence — a fast mesh engine behind
-``MeshConfig(engine="fast")``, a calendar event queue behind
-``Simulator(queue="bucket")``, cycle skipping behind
+``MeshConfig(engine="fast")``, cycle skipping behind
 ``MeshConfig(cycle_skip=...)``, an analytic Table III model next to the
 measured flit simulator, a canonical CRC frame codec, and the
-CRC-protected retransmitting gather.  Each pair is covered by targeted
+CRC-protected retransmitting gather — plus the event kernel's
+documented dispatch order.  Each pair is covered by targeted
 unit tests on a handful of hand-picked workloads; this module generates
 *randomized* workloads from a seed and fails on any divergence.
 
@@ -21,9 +21,11 @@ Case kinds
     normalized semantic obs trace (categories ``mesh``/``mesh.fault``).
 
 ``queue``
-    Heap vs bucket event queue under a randomized timeout storm with
-    priority ties, compared by the exact firing trace; timeout pooling
-    must be invisible.
+    The event kernel under a randomized timeout storm with priority
+    ties, checked against its documented total order: dispatch times
+    never decrease, ticker ``j`` wakes exactly at ``k * delay_j`` for
+    ``k = 1..count``, and at each instant the tie timeouts fire sorted
+    by ``(priority, index)``.
 
 ``crc``
     The canonical frame codec: round-trip, frame determinism across
@@ -601,13 +603,15 @@ def _check_mesh(case: FuzzCase) -> list[Divergence]:
 # ---------------------------------------------------------------------------
 
 
-def _storm_trace(
-    params: dict[str, Any], queue: str, *, pool_timeouts: bool = True
-):
-    """A mixed-granularity timeout storm plus a same-instant priority wave."""
-    from ..sim.engine import LOW, NORMAL, URGENT, Simulator
+def _storm_trace(params: dict[str, Any]) -> list[tuple]:
+    """A mixed-granularity timeout storm plus a same-instant priority wave.
 
-    sim = Simulator(queue=queue, pool_timeouts=pool_timeouts)
+    Returns the firing trace: ``(time, "p<j>", i)`` for the ``i``-th wake
+    of ticker ``j`` and ``(time, "tie", i)`` for tie timeout ``i``.
+    """
+    from ..sim.engine import Simulator
+
+    sim = Simulator()
     trace: list[tuple] = []
 
     def ticker(name: str, count: int, delay: float):
@@ -615,30 +619,52 @@ def _storm_trace(
             yield sim.timeout(delay)
             trace.append((sim.now, name, i))
 
-    for i in range(params["processes"]):
-        delay = 1.0 + 0.5 * (i % params["delay_mod"])
-        sim.process(ticker(f"p{i}", params["count"], delay))
-    prios = (URGENT, NORMAL, LOW)
+    for j in range(params["processes"]):
+        sim.process(ticker(f"p{j}", params["count"], _ticker_delay(params, j)))
     for i in range(params["ties"]):
-        tmo = sim.timeout(float(i % 5), priority=prios[i % 3])
+        tmo = sim.timeout(float(i % 5), priority=_tie_priority(i))
         tmo.callbacks.append(
             lambda ev, i=i: trace.append((sim.now, "tie", i))
         )
     sim.run()
-    return trace, sim.events_processed, sim.now
+    return trace
+
+
+def _ticker_delay(params: dict[str, Any], j: int) -> float:
+    return 1.0 + 0.5 * (j % params["delay_mod"])
+
+
+def _tie_priority(i: int) -> int:
+    from ..sim.engine import LOW, NORMAL, URGENT
+
+    return (URGENT, NORMAL, LOW)[i % 3]
 
 
 def _check_queue(case: FuzzCase) -> list[Divergence]:
+    """The storm must fire in the kernel's documented total order."""
+    p = case.params
+    trace = _storm_trace(p)
     out: list[Divergence] = []
-    heap = _storm_trace(case.params, "heap")
-    bucket = _storm_trace(case.params, "bucket")
-    if heap != bucket:
-        out.append(Divergence(case, "queue.order", _diff_repr(heap, bucket)))
-    unpooled = _storm_trace(case.params, "bucket", pool_timeouts=False)
-    if bucket != unpooled:
+    times = [t for t, _name, _i in trace]
+    if times != sorted(times):
         out.append(
-            Divergence(case, "queue.pooling", _diff_repr(bucket, unpooled))
+            Divergence(case, "queue.monotone", "dispatch time went backwards")
         )
+    for j in range(p["processes"]):
+        name = f"p{j}"
+        delay = _ticker_delay(p, j)
+        got = [(t, i) for t, n, i in trace if n == name]
+        want = [(k * delay, k - 1) for k in range(1, p["count"] + 1)]
+        if got != want:
+            out.append(Divergence(case, "queue.ticker", _diff_repr(want, got)))
+            break
+    ties = [(t, i) for t, n, i in trace if n == "tie"]
+    want_ties = sorted(
+        ((float(i % 5), i) for i in range(p["ties"])),
+        key=lambda ti: (ti[0], _tie_priority(ti[1]), ti[1]),
+    )
+    if ties != want_ties:
+        out.append(Divergence(case, "queue.order", _diff_repr(want_ties, ties)))
     return out
 
 

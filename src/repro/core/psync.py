@@ -28,7 +28,6 @@ from ..photonics.layout import SerpentineLayout
 from ..photonics.waveguide import Waveguide
 from ..photonics.wdm import WdmPlan, paper_pscan_plan
 from ..sim.engine import Simulator
-from ..sim.trace import Tracer
 from ..util import constants
 from ..util.errors import ConfigError
 from .headnode import HeadNode
@@ -59,7 +58,7 @@ class PsyncConfig:
     discrete-event kernel; ``"compiled"`` lowers each schedule to
     closed-form vectorized timeline evaluation with bit-identical
     execution records (see :mod:`repro.core.compiled`).  Unsupported
-    configurations (fault hooks, enabled tracers) raise
+    configurations (fault hooks) raise
     :class:`~repro.util.errors.EngineUnsupportedError` at execute time.
 
     ``layout``: serpentine variant.  ``"auto"`` (default, the seed
@@ -118,7 +117,6 @@ class PsyncMachine:
         self,
         config: PsyncConfig | None = None,
         wdm: WdmPlan | None = None,
-        trace: bool = False,
         link: PhotonicLink | None = None,
     ) -> None:
         self.config = config or PsyncConfig()
@@ -151,7 +149,6 @@ class PsyncMachine:
         }
 
         self.sim = Simulator()
-        self.tracer = Tracer(self.sim, enabled=trace)
         #: Bus cycles one word occupies on the WDM plan.
         self.cycles_per_word = self.wdm.cycles_for_words(1, self.config.word_bits)
         if self.config.word_granular_clock and self.cycles_per_word > 1:
@@ -173,7 +170,6 @@ class PsyncMachine:
             positions_mm=self.positions_mm,
             wdm=effective,
             response_ns=self.config.response_ns,
-            tracer=self.tracer,
             link=link,
             engine=self.config.engine,
         )

@@ -11,7 +11,7 @@ config decides which layers record:
     Per-event dispatch records from :class:`repro.sim.engine.Simulator`
     (event type, time, queue depth).  The hottest hook by far — a record
     per processed event — so it is **off** by default and exists mainly
-    for the heap-vs-bucket trace oracle.
+    for the dispatch-order trace oracle.
 ``mesh`` / ``sca`` / ``faults`` / ``phases``
     Semantic events from the mesh simulators (inject/deliver/fault), the
     PSCAN executor (modulate/arrival/deliver), the recovery layer

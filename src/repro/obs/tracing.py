@@ -1,8 +1,7 @@
 """Structured span/event tracing for the observability layer.
 
-:class:`SpanTracer` generalizes :class:`repro.sim.trace.Tracer` from flat
-``(time, category, payload)`` records to *categorized, named events on
-tracks* — the shape the Chrome ``trace_event`` format (and Perfetto)
+:class:`SpanTracer` records *categorized, named events on tracks* —
+the shape the Chrome ``trace_event`` format (and Perfetto)
 consumes directly:
 
 * ``instant``  — a point occurrence (a flit delivered, a word modulated);
@@ -20,8 +19,7 @@ Design constraints inherited from the simulators this instruments:
 * **Ring-buffer capped mode.**  ``max_events=N`` keeps only the newest
   ``N`` events (oldest silently dropped, counted in ``dropped``), so
   week-long benchmark runs can leave tracing on without exhausting
-  memory.  Uncapped mode appends to a plain list, exactly like the seed
-  :class:`~repro.sim.trace.Tracer`.
+  memory.  Uncapped mode appends to a plain list.
 * **Explicit clock.**  The tracer does not own a clock; it is bound to a
   zero-argument callable (``lambda: sim.now`` for event simulations,
   ``lambda: float(net.cycle)`` for the cycle-based meshes, or a wall

@@ -10,16 +10,15 @@ Three pieces (see ``docs/performance.md``):
   ``resume=`` persistence through the :mod:`repro.store`
   content-addressed result cache (see ``docs/sweeps.md``);
 * :mod:`repro.perf.harness` — the benchmarks behind ``BENCH_mesh.json``
-  and ``BENCH_engine.json`` (fast vs reference mesh engine, bucket vs
-  heap event queue), each asserting result equality before reporting a
-  speedup;
+  and ``BENCH_engine.json`` (fast and compiled vs reference mesh
+  engine, batched vs process-pool fault campaign), each asserting
+  result equality before reporting a speedup;
 * :mod:`repro.perf.regression` — compares a fresh bench run against the
   checked-in baselines so CI can fail on real slowdowns.
 """
 
 from .harness import (
     SCHEMA_VERSION,
-    bench_engine_timeout_storm,
     bench_mesh_transpose,
     run_engine_benches,
     run_mesh_benches,
@@ -41,7 +40,6 @@ from .sweep import (
 
 __all__ = [
     "SCHEMA_VERSION",
-    "bench_engine_timeout_storm",
     "bench_mesh_transpose",
     "run_engine_benches",
     "run_mesh_benches",

@@ -12,10 +12,7 @@ implementations, on the workloads that dominate the paper's evaluation:
   run through the shared SLO-reporting driver, again reference vs
   fast with byte-identical results (signature, latency percentiles,
   per-pair table) required before any number is reported;
-* **engine** — a fixed-granularity Timeout storm (the PSCAN executor's
-  dominant event shape) on the seed binary-heap event queue versus the
-  calendar/bucket queue, asserting identical event counts and final
-  clocks; plus the schedule-compiled mesh backend
+* **engine** — the schedule-compiled mesh backend
   (``engine="compiled"``) against the reference on the same transpose
   workload — including the 1024-processor run that only the compiled
   engine can complete in budget; plus the SIMD-lockstep batched
@@ -24,7 +21,7 @@ implementations, on the workloads that dominate the paper's evaluation:
   byte-identical reports before reporting lanes/second and the
   batched-over-pool speedup.
 
-Every bench records wall seconds and simulated cycles (or events) per
+Every bench records wall seconds and simulated cycles (or lanes) per
 wall second; :mod:`repro.perf.regression` compares those numbers
 against checked-in baselines so CI can flag slowdowns.  Timing uses
 best-of-``repeats`` to damp scheduler noise.
@@ -47,7 +44,6 @@ __all__ = [
     "bench_batched_campaign",
     "bench_compiled_transpose",
     "bench_compiled_transpose_scale",
-    "bench_engine_timeout_storm",
     "bench_mesh_transpose",
     "bench_obs_overhead",
     "bench_workload_zoo",
@@ -401,80 +397,6 @@ def bench_compiled_transpose_scale(
 # -- engine ------------------------------------------------------------------
 
 
-def _run_storm_once(
-    queue: str, processes: int, timeouts: int, granularity: float
-) -> tuple[float, tuple]:
-    from ..sim.engine import Simulator
-
-    sim = Simulator(queue=queue)
-
-    def ticker(sim: Simulator, n: int, delay: float):
-        for _ in range(n):
-            yield sim.timeout(delay)
-
-    order: list[float] = []
-
-    def closer(sim: Simulator, procs):
-        yield sim.all_of(procs)
-        order.append(sim.now)
-
-    procs = [
-        sim.process(ticker(sim, timeouts, granularity * (1 + (i % 3))))
-        for i in range(processes)
-    ]
-    sim.process(closer(sim, procs))
-    t0 = time.perf_counter()
-    sim.run()
-    wall = time.perf_counter() - t0
-    return wall, (sim.events_processed, sim.now, tuple(order))
-
-
-def bench_engine_timeout_storm(
-    processes: int = 64,
-    timeouts: int = 2000,
-    granularity: float = 1.0,
-    repeats: int = 3,
-) -> dict[str, Any]:
-    """Heap vs bucket queue on fixed-granularity Timeout traffic.
-
-    Each process sleeps in a loop at one of three granularities, so
-    many events share exact timestamps — the case the bucket queue's
-    same-time buckets (and the kernel's priority tie-breaking) exist
-    for.  Signatures (event counts, final clocks) must match exactly.
-    """
-    heap_wall, heap_sig = _best_of(
-        lambda: _run_storm_once("heap", processes, timeouts, granularity),
-        repeats,
-    )
-    bucket_wall, bucket_sig = _best_of(
-        lambda: _run_storm_once("bucket", processes, timeouts, granularity),
-        repeats,
-    )
-    if heap_sig != bucket_sig:
-        raise AssertionError(
-            "bucket event queue diverged from the heap queue on the bench"
-        )
-    events = heap_sig[0]
-    return {
-        "workload": {
-            "kind": "timeout_storm",
-            "processes": processes,
-            "timeouts_per_process": timeouts,
-            "granularity": granularity,
-        },
-        "events": events,
-        "heap": {
-            "wall_s": heap_wall,
-            "events_per_s": events / heap_wall if heap_wall > 0 else 0.0,
-        },
-        "bucket": {
-            "wall_s": bucket_wall,
-            "events_per_s": events / bucket_wall if bucket_wall > 0 else 0.0,
-        },
-        "speedup": heap_wall / bucket_wall if bucket_wall > 0 else 0.0,
-    }
-
-
 def bench_batched_campaign(
     trials: int = 192,
     batch: int | None = None,
@@ -554,11 +476,7 @@ def run_engine_benches(
 ) -> dict[str, Any]:
     """The ``BENCH_engine.json`` payload."""
     reps = repeats if repeats is not None else (3 if quick else 5)
-    timeouts = 500 if quick else 3000
     makers = {
-        "timeout_storm": lambda: bench_engine_timeout_storm(
-            processes=64, timeouts=timeouts, repeats=reps
-        ),
         "compiled_transpose": lambda: bench_compiled_transpose(
             processors=64, cols=8 if quick else 32, repeats=reps
         ),

@@ -19,7 +19,6 @@ from .engine import (
 )
 from .fifo import DualClockFifo, FifoStats
 from .stats import Counter, Histogram, RunningStats, TimeWeightedStat
-from .trace import TraceRecord, Tracer
 
 __all__ = [
     "Simulator",
@@ -36,8 +35,6 @@ __all__ = [
     "Resource",
     "DualClockFifo",
     "FifoStats",
-    "Tracer",
-    "TraceRecord",
     "RunningStats",
     "TimeWeightedStat",
     "Counter",

@@ -62,7 +62,7 @@ class TestOracles:
 
     Every equivalent-engine pair in the repo is cross-executed here:
     reference vs fast mesh (and cycle-skip on/off, and obs traces),
-    heap vs bucket queue (and timeout pooling), codec vs corruption,
+    the event kernel vs its documented order, codec vs corruption,
     measured vs analytic transpose, protected gather vs itself, and
     compiled schedules vs the static analyzer.
     """

@@ -214,8 +214,8 @@ class TestCompiledScaEquivalence:
 # ---------------------------------------------------------------------------
 
 
-def _machine(engine, *, processors=4, trace=False):
-    return PsyncMachine(PsyncConfig(processors=processors, engine=engine), trace=trace)
+def _machine(engine, *, processors=4):
+    return PsyncMachine(PsyncConfig(processors=processors, engine=engine))
 
 
 class TestCompiledMachineEquivalence:
@@ -315,12 +315,6 @@ class TestScaRefusals:
             )
         assert exc.value.engine == "compiled"
         assert exc.value.feature == "fault_hook"
-
-    def test_enabled_tracer_refused(self):
-        m = _machine("compiled", trace=True)
-        with pytest.raises(EngineUnsupportedError) as exc:
-            m.scatter(m.model1_scatter_schedule(2), [0] * 8)
-        assert exc.value.feature == "tracer"
 
     def test_event_engine_still_accepts_fault_hook(self):
         # The refusal is a compiled-engine property, not a general one.

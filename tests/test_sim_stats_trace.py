@@ -1,4 +1,4 @@
-"""Tests for the stats accumulators and the tracer."""
+"""Tests for the stats accumulators."""
 
 import pytest
 
@@ -6,9 +6,7 @@ from repro.sim import (
     Counter,
     Histogram,
     RunningStats,
-    Simulator,
     TimeWeightedStat,
-    Tracer,
 )
 
 
@@ -131,50 +129,3 @@ class TestHistogram:
             Histogram(1.0, 0.0, 4)
         with pytest.raises(ValueError):
             Histogram(0.0, 1.0, 0)
-
-
-class TestTracer:
-    def test_records_time(self):
-        sim = Simulator()
-        tr = Tracer(sim)
-
-        def proc():
-            yield sim.timeout(2.5)
-            tr.record("tick", {"n": 1})
-
-        sim.process(proc())
-        sim.run()
-        assert len(tr) == 1
-        rec = tr.records[0]
-        assert rec.time == 2.5 and rec.category == "tick"
-
-    def test_disabled_tracer_is_noop(self):
-        sim = Simulator()
-        tr = Tracer(sim, enabled=False)
-        tr.record("x")
-        assert len(tr) == 0
-
-    def test_filter_by_category_and_predicate(self):
-        sim = Simulator()
-        tr = Tracer(sim)
-        tr.record("a", 1)
-        tr.record("b", 2)
-        tr.record("a", 3)
-        assert [r.payload for r in tr.filter("a")] == [1, 3]
-        assert [r.payload for r in tr.filter(predicate=lambda r: r.payload > 1)] == [2, 3]
-
-    def test_times_and_last(self):
-        sim = Simulator()
-        tr = Tracer(sim)
-        tr.record("x", "first")
-        tr.record("x", "second")
-        assert tr.times("x") == [0.0, 0.0]
-        assert tr.last("x").payload == "second"
-        assert tr.last("missing") is None
-
-    def test_clear(self):
-        sim = Simulator()
-        tr = Tracer(sim)
-        tr.record("x")
-        tr.clear()
-        assert len(tr) == 0
