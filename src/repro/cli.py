@@ -266,12 +266,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return sweep_main(list(args.sweep_args))
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from .serve.cli import main as serve_main
-
-    return serve_main(list(args.serve_args))
-
-
 def _cmd_optimize(args: argparse.Namespace) -> None:
     from .llmore.optimize import best_block_count
 
@@ -308,8 +302,6 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int | None]]] = {
     "obs": ("instrumented workload -> trace.json + metrics.json", _cmd_obs),
     "check": ("static invariant lint + differential fuzzer", _cmd_check),
     "sweep": ("resumable checkpointed sweeps (run/status/gc)", _cmd_sweep),
-    "serve": ("fault-tolerant job server (start/submit/status/drain)",
-              _cmd_serve),
 }
 
 
@@ -415,10 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("sweep_args", nargs=argparse.REMAINDER,
                            help="arguments for the sweep sub-CLI "
                                 "(run / status / gc)")
-        elif name == "serve":
-            p.add_argument("serve_args", nargs=argparse.REMAINDER,
-                           help="arguments for the serve sub-CLI "
-                                "(start / submit / status / drain)")
         elif name == "optimize":
             p.add_argument("--n", type=int, default=1024)
             p.add_argument("--processors", type=int, default=256)

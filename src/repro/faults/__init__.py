@@ -26,10 +26,6 @@ P-sync architecture does when the physics misbehaves, in three layers:
     fall back to scalar replay — batched results are byte-identical to
     per-seed sequential (``run_campaign(batch=N)``,
     ``python -m repro faults --batch N``).
-``repro.faults.chaos``
-    Seeded infrastructure chaos for the :mod:`repro.serve` job server:
-    worker kills, torn store writes, slow tenants, clock-skewed
-    deadlines — every injection recorded for replayable scenarios.
 
 Dependency direction: this package builds on ``repro.core``,
 ``repro.mesh``, ``repro.sim`` and ``repro.photonics`` — never the
@@ -51,7 +47,6 @@ from .campaign import (
     MeshCampaignRow,
     run_campaign,
 )
-from .chaos import ChaosConfig, ChaosDriver
 from .lanes import LaneRng, compact_indices, merge_masks, scatter_lanes
 from .crc import check_frame, flip_bits, frame_bits, pack_word, unpack_word
 from .models import DriftEpisode, FifoDropFault, MeshFaultPlan, PscanFaultModel
@@ -88,6 +83,4 @@ __all__ = [
     "run_mesh_campaign_batch",
     "run_fifo_trial",
     "run_fifo_batch",
-    "ChaosConfig",
-    "ChaosDriver",
 ]

@@ -25,7 +25,6 @@ attached to the first epoch's :class:`~repro.core.pscan.ScaExecution`.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -37,38 +36,14 @@ from .crc import CRC_BITS, pack_word, unpack_word
 __all__ = ["RetryPolicy", "ReliableGather", "ReliableGatherResult"]
 
 
-def _jitter_unit(seed: object, retry_index: int) -> float:
-    """Deterministic uniform draw in [0, 1) from ``(seed, retry_index)``.
-
-    Hash-derived (SHA-256 over the repr), not :func:`hash`-derived:
-    ``PYTHONHASHSEED`` randomizes ``hash(str)`` per interpreter, and the
-    whole point is that the *same* seed reproduces the *same* backoff
-    schedule across processes and reruns.
-    """
-    digest = hashlib.sha256(
-        repr((seed, retry_index)).encode("utf-8")
-    ).digest()
-    return int.from_bytes(digest[:8], "big") / 2.0 ** 64
-
-
 @dataclass(frozen=True, slots=True)
 class RetryPolicy:
-    """Capped exponential backoff for retransmission epochs.
-
-    ``jitter_fraction`` (default 0 — byte-identical to the historical
-    schedule) subtracts up to that fraction of the capped backoff, drawn
-    deterministically from ``(seed, retry_index)``, so concurrent
-    retransmission epochs seeded differently do not re-collide on the
-    same bus cycles every epoch.  Jitter only ever *shortens* a wait:
-    the capped value stays a hard ceiling and the cap stays monotone in
-    ``retry_index`` (property-tested in ``tests/test_retry_jitter.py``).
-    """
+    """Capped exponential backoff for retransmission epochs."""
 
     max_retries: int = 4
     backoff_cycles: int = 8
     backoff_factor: float = 2.0
     max_backoff_cycles: int = 256
-    jitter_fraction: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -77,29 +52,15 @@ class RetryPolicy:
             raise ConfigError("backoff cycle counts must be >= 0")
         if self.backoff_factor < 1.0:
             raise ConfigError("backoff_factor must be >= 1.0")
-        if not 0.0 <= self.jitter_fraction < 1.0:
-            raise ConfigError(
-                f"jitter_fraction must be in [0, 1), got {self.jitter_fraction}"
-            )
 
-    def backoff_for(self, retry_index: int, *, seed: object = None) -> int:
-        """Idle bus cycles before retransmission ``retry_index`` (1-based).
-
-        With ``jitter_fraction == 0`` (the default) the schedule is the
-        classic deterministic capped exponential.  Otherwise the capped
-        value is scaled by a deterministic factor in
-        ``(1 - jitter_fraction, 1]`` derived from ``(seed, retry_index)``
-        — pass a per-gather/per-job ``seed`` to desynchronize concurrent
-        retry epochs without losing reproducibility.
-        """
+    def backoff_for(self, retry_index: int) -> int:
+        """Idle bus cycles before retransmission ``retry_index`` (1-based):
+        ``backoff_cycles * backoff_factor ** (retry_index - 1)``, capped at
+        ``max_backoff_cycles``."""
         if retry_index < 1:
             raise ConfigError("retry_index is 1-based")
         raw = self.backoff_cycles * self.backoff_factor ** (retry_index - 1)
-        capped = min(int(raw), self.max_backoff_cycles)
-        if not self.jitter_fraction or capped == 0:
-            return capped
-        scale = 1.0 - self.jitter_fraction * _jitter_unit(seed, retry_index)
-        return min(max(0, int(capped * scale)), self.max_backoff_cycles)
+        return min(int(raw), self.max_backoff_cycles)
 
 
 @dataclass
@@ -147,15 +108,9 @@ class ReliableGather:
         self,
         pscan: Pscan,
         policy: RetryPolicy | None = None,
-        *,
-        jitter_seed: object = None,
     ) -> None:
         self.pscan = pscan
         self.policy = policy or RetryPolicy()
-        # Per-gather salt for the policy's deterministic backoff jitter:
-        # distinct seeds keep concurrent gathers' retry epochs from
-        # re-synchronizing (no effect while jitter_fraction == 0).
-        self.jitter_seed = jitter_seed
         # Optional observability hook (duck-typed ObsSession).
         self._obs: Any = None
 
@@ -249,9 +204,7 @@ class ReliableGather:
 
             # Epoch-level capped exponential backoff: idle bus cycles
             # before the retransmission SCA re-drives the NACKed words.
-            backoff = self.policy.backoff_for(
-                epoch_index + 1, seed=self.jitter_seed
-            )
+            backoff = self.policy.backoff_for(epoch_index + 1)
             stats.backoff_cycles += backoff
             if backoff:
                 delay_ns = backoff * self.pscan.clock.period_ns

@@ -21,10 +21,6 @@ config decides which layers record:
     runtime (:func:`repro.perf.sweep.run_sweep`) — one instant per grid
     point (executed or cache hit) plus a run-level begin/end span, so
     hour-long campaigns are observable mid-flight.
-``serve``
-    Request spans, attempt outcomes, queue-depth/breaker-state gauges
-    and latency histograms from the :mod:`repro.serve` job server (one
-    span per request, instants per retry attempt / breaker transition).
 ``mesh_sample_cycles``
     When > 0, sample mesh occupancy counters every N cycles into the
     ``mesh.sample`` category.  Sampled events are *engine-dependent*
@@ -57,7 +53,6 @@ class ObsConfig:
     faults: bool = True
     phases: bool = True
     sweep: bool = True
-    serve: bool = True
 
     def __post_init__(self) -> None:
         if self.max_trace_events is not None and self.max_trace_events < 1:

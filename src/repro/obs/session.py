@@ -35,7 +35,6 @@ faults     faults       epoch B/E, nack instants, backoff X spans,
 llmore     llmore       phase X spans per machine
 perf       perf         harness phase spans (wall-clock µs)
 sweep      sweep        run B/E spans, per-point / cache-hit instants
-serve      serve        request B/E spans, attempt/breaker instants
 ========== ============ ==========================================
 """
 
@@ -81,7 +80,6 @@ class ObsSession:
         self._faults = active and cfg.faults
         self._phases = active and cfg.phases
         self._sweep = active and cfg.sweep
-        self._serve = active and cfg.serve
 
     @property
     def active(self) -> bool:
@@ -474,98 +472,6 @@ class ObsSession:
         m = self.metrics
         if m.enabled:
             m.gauge("sweep_wall_s", label=label or "sweep").set(wall_s)
-
-    # -- serve layer ---------------------------------------------------------
-
-    def serve_submitted(self, tenant: str, workload: str, job_id: str) -> None:
-        """A request was admitted and enqueued (``ServeServer.submit``)."""
-        if not self._serve:
-            return
-        if self.tracer.enabled:
-            self.tracer.begin(
-                "serve", job_id, track=f"tenant:{tenant}",
-                args={"workload": workload},
-            )
-        if self.metrics.enabled:
-            self.metrics.counter("serve_jobs_submitted", tenant=tenant).inc()
-
-    def serve_done(
-        self,
-        tenant: str,
-        job_id: str,
-        state: str,
-        cache: str,
-        latency_s: float,
-    ) -> None:
-        """A request reached a terminal state.
-
-        ``cache`` classifies how it was answered: ``warm`` (store hit),
-        ``inflight`` (coalesced onto another tenant's execution),
-        ``stale`` (degraded-mode answer), ``cold`` (executed), or ``""``
-        for requests that failed before resolution.
-        """
-        if not self._serve:
-            return
-        tr = self.tracer
-        if tr.enabled:
-            tr.end(
-                "serve", job_id, track=f"tenant:{tenant}",
-                args={
-                    "state": state,
-                    "cache": cache,
-                    "latency_s": round(latency_s, 6),
-                },
-            )
-        m = self.metrics
-        if m.enabled:
-            m.counter("serve_jobs_done", state=state, cache=cache or "none").inc()
-            m.series("serve_latency_s", state=state).add(latency_s)
-            m.histogram(
-                "serve_latency_hist", lo=0.0, hi=30.0, bins=120, state=state
-            ).add(latency_s)
-
-    def serve_attempt(
-        self, job_id: str, attempt: int, outcome: str, wall_s: float
-    ) -> None:
-        """One cold-execution attempt finished (``ok``/``timeout``/
-        ``pool``/``error``/``chaos``)."""
-        if not self._serve:
-            return
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "serve", "attempt", track="attempts",
-                args={
-                    "job": job_id,
-                    "attempt": attempt,
-                    "outcome": outcome,
-                    "wall_s": round(wall_s, 6),
-                },
-            )
-        if self.metrics.enabled:
-            self.metrics.counter("serve_attempts", outcome=outcome).inc()
-
-    def serve_queue(self, depth: int, active: int) -> None:
-        """Queue-depth / in-flight gauges (sampled at scheduler decisions)."""
-        if not self._serve:
-            return
-        m = self.metrics
-        if m.enabled:
-            m.gauge("serve_queue_depth").set(depth)
-            m.gauge("serve_active_jobs").set(active)
-
-    def serve_breaker(self, state: str) -> None:
-        """The worker-pool circuit breaker transitioned to ``state``."""
-        if not self._serve:
-            return
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "serve", "breaker", track="breaker", args={"state": state}
-            )
-        m = self.metrics
-        if m.enabled:
-            level = {"closed": 0.0, "half_open": 1.0, "open": 2.0}.get(state, -1.0)
-            m.gauge("serve_breaker_state").set(level)
-            m.counter("serve_breaker_transitions", state=state).inc()
 
     # -- export --------------------------------------------------------------
 

@@ -31,8 +31,6 @@ from .regression import (
     compare_payloads,
 )
 from .sweep import (
-    PointExecutor,
-    PoolHealth,
     default_workers,
     grid_points,
     run_sweep,
@@ -51,6 +49,4 @@ __all__ = [
     "default_workers",
     "grid_points",
     "run_sweep",
-    "PointExecutor",
-    "PoolHealth",
 ]

@@ -52,7 +52,6 @@ import itertools
 import os
 import time
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, TypeVar
 
@@ -67,8 +66,6 @@ __all__ = [
     "grid_points",
     "run_sweep",
     "default_workers",
-    "PointExecutor",
-    "PoolHealth",
 ]
 
 T = TypeVar("T")
@@ -515,231 +512,3 @@ def _run_pool(
                 ) from exc
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
-
-
-# ---------------------------------------------------------------------------
-# single-point execution service (the repro.serve cold path)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class PoolHealth:
-    """One snapshot of a :class:`PointExecutor`'s pool state.
-
-    ``mode`` is the *resolved* execution mode (``process`` / ``thread``
-    / ``inline``), ``restarts`` how many times the pool was torn down
-    and rebuilt (timeout reclaims, broken pools, chaos worker kills),
-    ``submitted``/``cancelled`` the lifetime dispatch counters, and
-    ``abandoned`` how many running attempts could not be cancelled and
-    were reclaimed by a pool restart instead.
-    """
-
-    mode: str
-    workers: int
-    restarts: int
-    submitted: int
-    cancelled: int
-    abandoned: int
-    alive: bool
-
-
-class PointExecutor:
-    """Cancellable single-point execution with health reporting.
-
-    Where :func:`run_sweep` fans a whole grid out and reassembles it,
-    the job server (:mod:`repro.serve`) dispatches *individual* points
-    with per-attempt timeouts and needs three things the grid runner
-    doesn't: futures it can await/cancel one at a time, a way to reclaim
-    a worker stuck past its timeout (tear the pool down and rebuild it),
-    and a health snapshot the breaker/obs layers can export.
-
-    ``mode`` selects the backend: ``"process"`` requires a working
-    :class:`~concurrent.futures.ProcessPoolExecutor` (probed, as in
-    :func:`run_sweep`) and raises :class:`SweepPoolError` when the
-    platform can't; ``"thread"`` uses a thread pool (no true preemption
-    — an abandoned attempt runs to completion in the background);
-    ``"inline"`` executes synchronously at submit time (test-only, no
-    timeouts); ``"auto"`` (default) tries process and degrades to
-    thread, mirroring the sweep runtime's sandbox behaviour.
-    """
-
-    _MODES = ("auto", "process", "thread", "inline")
-
-    def __init__(self, max_workers: int = 1, mode: str = "auto") -> None:
-        if max_workers < 1:
-            raise ConfigError(f"max_workers must be >= 1, got {max_workers}")
-        if mode not in self._MODES:
-            raise ConfigError(
-                f"executor mode must be one of {self._MODES}, got {mode!r}"
-            )
-        self.max_workers = max_workers
-        self.requested_mode = mode
-        self.mode = "inline" if mode == "inline" else ""
-        self._pool: Any = None
-        self._restarts = 0
-        self._submitted = 0
-        self._cancelled = 0
-        self._abandoned = 0
-        self._closed = False
-
-    # -- pool lifecycle ------------------------------------------------------
-
-    def _ensure_pool(self) -> Any:
-        if self._closed:
-            raise SweepPoolError("PointExecutor is shut down")
-        if self.mode == "inline":
-            return None
-        if self._pool is not None:
-            return self._pool
-        if self.requested_mode in ("auto", "process"):
-            pool = _try_make_pool(self.max_workers)
-            if pool is not None:
-                self._pool, self.mode = pool, "process"
-                return pool
-            if self.requested_mode == "process":
-                raise SweepPoolError(
-                    "this platform cannot run a probed process pool "
-                    "(mode='process' was required)"
-                )
-        from concurrent.futures import ThreadPoolExecutor
-
-        self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
-        self.mode = "thread"
-        return self._pool
-
-    def restart(self) -> None:
-        """Tear the pool down (cancelling queued work) and rebuild lazily."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-            self._restarts += 1
-
-    def shutdown(self) -> None:
-        """Release the pool; further submits raise :class:`SweepPoolError`."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-        self._closed = True
-
-    # -- dispatch ------------------------------------------------------------
-
-    def submit(self, fn: Callable[..., Any], point: Any) -> Any:
-        """Dispatch ``fn`` at ``point``; returns a ``concurrent.futures``
-        future (already resolved in inline mode).
-
-        Mapping points follow the :func:`grid_points` convention
-        (``fn(**point)``); anything else is passed positionally.
-        """
-        self._submitted += 1
-        if self.mode == "inline" or (
-            self.requested_mode == "inline" and self._pool is None
-        ):
-            from concurrent.futures import Future
-
-            future: Any = Future()
-            try:
-                value = (
-                    fn(**point) if isinstance(point, Mapping) else fn(point)
-                )
-            except BaseException as exc:  # resolved future carries it
-                future.set_exception(exc)
-            else:
-                future.set_result(value)
-            return future
-        pool = self._ensure_pool()
-        if isinstance(point, Mapping):
-            return pool.submit(_call_kwargs, fn, dict(point))
-        return pool.submit(fn, point)
-
-    def reclaim(self, future: Any) -> bool:
-        """Free ``future``'s slot after a timeout/abandon.
-
-        Returns True when plain cancellation sufficed (the attempt never
-        started); otherwise the attempt is already running on a worker
-        that cannot be preempted, so the pool is restarted to reclaim
-        the slot (counted in :class:`PoolHealth`) and this returns
-        False.
-        """
-        if future.cancel():
-            self._cancelled += 1
-            return True
-        if future.done():
-            return True
-        self._abandoned += 1
-        self.restart()
-        return False
-
-    def run(
-        self, fn: Callable[..., Any], point: Any, timeout: float | None = None
-    ) -> Any:
-        """Synchronous convenience: submit, wait up to ``timeout``.
-
-        Raises :class:`TimeoutError` after reclaiming the slot, and
-        :class:`SweepPoolError` (after an internal restart) when the
-        worker process died rather than raised.
-        """
-        from concurrent.futures import TimeoutError as FuturesTimeout
-
-        future = self.submit(fn, point)
-        try:
-            return future.result(timeout)
-        except FuturesTimeout:
-            self.reclaim(future)
-            raise TimeoutError(
-                f"point execution exceeded {timeout}s (slot reclaimed)"
-            ) from None
-        except SweepPoolError:
-            raise
-        except BaseException as exc:
-            if self._is_broken_pool(exc):
-                self.restart()
-                raise SweepPoolError(
-                    f"worker process died mid-point: {exc}"
-                ) from exc
-            raise
-
-    @staticmethod
-    def _is_broken_pool(exc: BaseException) -> bool:
-        """True for executor-infrastructure deaths (vs worker exceptions)."""
-        try:
-            from concurrent.futures import BrokenExecutor
-        except ImportError:  # pragma: no cover - py<3.8 only
-            return False
-        return isinstance(exc, BrokenExecutor)
-
-    # -- chaos + health ------------------------------------------------------
-
-    def kill_worker(self) -> int | None:
-        """SIGKILL one live pool worker (chaos hook).
-
-        Only meaningful in process mode — returns the killed pid, or
-        ``None`` when there is no killable worker (thread/inline modes,
-        or no pool yet); callers emulating worker death on those
-        backends should inject a :class:`SweepPoolError` instead (see
-        :mod:`repro.faults.chaos`).
-        """
-        if self.mode != "process" or self._pool is None:
-            return None
-        import signal
-
-        processes = getattr(self._pool, "_processes", None) or {}
-        for pid in list(processes):
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except (OSError, ProcessLookupError):  # already gone
-                continue
-            return pid
-        return None
-
-    def health(self) -> PoolHealth:
-        """Current :class:`PoolHealth` snapshot."""
-        return PoolHealth(
-            mode=self.mode or self.requested_mode,
-            workers=self.max_workers,
-            restarts=self._restarts,
-            submitted=self._submitted,
-            cancelled=self._cancelled,
-            abandoned=self._abandoned,
-            alive=not self._closed
-            and (self.mode == "inline" or self._pool is not None),
-        )

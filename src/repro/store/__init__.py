@@ -9,15 +9,11 @@ Three pieces (see ``docs/sweeps.md``):
   atomic per-point writes and age/reference-based garbage collection;
 * :mod:`repro.store.manifest` — per-sweep manifests (grid-ordered key
   lists under a content-derived run id) and append-only completion
-  journals, which is what ``python -m repro sweep status`` reads;
-* :mod:`repro.store.leases` — the serve-layer journal (submit/lease/
-  commit lines with crash replay), and the fingerprint-agnostic stale
-  index that degraded warm-cache-only mode serves from (see
-  ``docs/service.md``).
+  journals, which is what ``python -m repro sweep status`` reads.
 
-The consumers are :func:`repro.perf.sweep.run_sweep`'s
-``checkpoint=``/``resume=`` mode and the :mod:`repro.serve` job server;
-campaigns and figure sweeps never talk to this package directly.
+The consumer is :func:`repro.perf.sweep.run_sweep`'s
+``checkpoint=``/``resume=`` mode; campaigns and figure sweeps never
+talk to this package directly.
 """
 
 from .keys import (
@@ -26,13 +22,6 @@ from .keys import (
     code_fingerprint,
     point_key,
     worker_name,
-)
-from .leases import (
-    ServeJournal,
-    ServeJournalEntry,
-    ServeReplay,
-    StaleIndex,
-    point_identity,
 )
 from .manifest import JournalEntry, SweepManifest, append_journal, read_journal
 from .result_store import GcReport, ResultStore
@@ -49,9 +38,4 @@ __all__ = [
     "JournalEntry",
     "append_journal",
     "read_journal",
-    "ServeJournal",
-    "ServeJournalEntry",
-    "ServeReplay",
-    "StaleIndex",
-    "point_identity",
 ]

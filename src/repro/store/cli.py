@@ -86,8 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "compiled; zoo default: 16)")
     # zoo workload knobs.  Points are the canonical registry payloads:
     # name + engine + reorder + family params, nothing else — the same
-    # dict `repro.workloads.evaluate_workload_point` takes, so sweep
-    # results and serve results share store keys.
+    # dict `repro.workloads.evaluate_workload_point` takes, so a point's
+    # store key is the same whichever caller computed it.
     run.add_argument("--family", dest="families", nargs="+", default=None,
                      metavar="NAME",
                      help="registry families for --workload zoo (default: "

@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Any
 
 from ..util.errors import ConfigError
+from .result_store import _check_key
 
 __all__ = ["SweepManifest", "JournalEntry", "append_journal", "read_journal"]
 
@@ -96,19 +97,29 @@ class SweepManifest:
             payload = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"unreadable sweep manifest {path}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ConfigError(f"sweep manifest {path} is not a JSON object")
         version = payload.get("schema_version")
         if version != SCHEMA_VERSION:
             raise ConfigError(
                 f"sweep manifest {path} has schema_version {version!r}, "
                 f"expected {SCHEMA_VERSION}"
             )
-        return cls(
-            worker=payload["worker"],
-            fingerprint=payload["fingerprint"],
-            keys=list(payload["keys"]),
-            label=payload.get("label", ""),
-            created_at=float(payload.get("created_at", 0.0)),
-        )
+        try:
+            worker, fingerprint = payload["worker"], payload["fingerprint"]
+            if not isinstance(worker, str) or not isinstance(fingerprint, str):
+                raise TypeError("worker and fingerprint must be strings")
+            return cls(
+                worker=worker,
+                fingerprint=fingerprint,
+                keys=[_check_key(key) for key in payload["keys"]],
+                label=str(payload.get("label", "")),
+                created_at=float(payload.get("created_at", 0.0)),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            # ConfigError from _check_key is a ValueError: re-raised here
+            # with the manifest's path attached.
+            raise ConfigError(f"malformed sweep manifest {path}: {exc!r}") from exc
 
     @classmethod
     def iter_dir(cls, runs_dir: Path) -> Iterator["SweepManifest"]:

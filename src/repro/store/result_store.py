@@ -69,6 +69,14 @@ def _check_key(key: str) -> str:
     return key
 
 
+def _is_key(name: str, shard: str) -> bool:
+    try:
+        _check_key(name)
+    except ConfigError:
+        return False
+    return name[:2] == shard
+
+
 class ResultStore:
     """Content-addressed result cache rooted at ``root`` (created lazily)."""
 
@@ -144,14 +152,19 @@ class ResultStore:
             return False
 
     def keys(self) -> Iterator[str]:
-        """Every committed object key (unspecified order)."""
+        """Every committed object key (unspecified order).
+
+        Files whose name is not a well-formed key in its own shard are
+        not store objects and are skipped, so a foreign file under
+        ``objects/`` cannot wedge :meth:`gc` or ``sweep status``.
+        """
         if not self.objects_dir.is_dir():
             return
         for shard in sorted(self.objects_dir.iterdir()):
             if not shard.is_dir():
                 continue
             for obj in sorted(shard.iterdir()):
-                if obj.suffix == _OBJECT_SUFFIX and not obj.name.startswith("."):
+                if obj.suffix == _OBJECT_SUFFIX and _is_key(obj.stem, shard.name):
                     yield obj.stem
 
     def object_count(self) -> int:

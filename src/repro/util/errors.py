@@ -238,109 +238,3 @@ class SweepInterrupted(SweepError):
     def __init__(self, message: str, *, remaining: int) -> None:
         super().__init__(message)
         self.remaining = remaining
-
-
-class ServeError(ReproError, RuntimeError):
-    """Base class for job-service failures (:mod:`repro.serve`).
-
-    Every ``Serve*`` error carries an explicit **retryable** flag, the
-    serving layer's recoverability contract (mirroring the
-    :class:`FaultError` branch): ``retryable=True`` means the *same*
-    request resubmitted later may succeed (quota pressure, an open
-    breaker, a timed-out attempt); ``retryable=False`` means resubmitting
-    the identical request is pointless (its deadline passed, its worker
-    fails deterministically).  :func:`is_retryable` is the one
-    classification point both the server's retry loop and clients use.
-    """
-
-    #: Whether resubmitting the same request later can succeed.
-    retryable: bool = False
-
-
-class ServeQuotaError(ServeError):
-    """Admission control rejected the request (tenant quota / queue full).
-
-    Retryable: quotas free up as the tenant's in-flight jobs finish.
-    """
-
-    retryable = True
-
-
-class ServeDrainingError(ServeError):
-    """The server is draining and no longer admits new requests.
-
-    Retryable: a restarted or different server instance can take it.
-    """
-
-    retryable = True
-
-
-class ServeDeadlineError(ServeError):
-    """The request's deadline expired before a result was produced.
-
-    Terminal for this request — the answer would arrive too late by the
-    client's own definition.  A *new* request with a fresh deadline is of
-    course fine, which is exactly why this is not ``retryable``: the
-    request as submitted can never succeed.
-    """
-
-    retryable = False
-
-
-class ServeAttemptTimeout(ServeError):
-    """One cold execution attempt exceeded its per-attempt timeout.
-
-    Retryable: the server's own retry loop catches this, backs off (with
-    deterministic seeded jitter) and redispatches while the request
-    deadline allows.
-    """
-
-    retryable = True
-
-
-class ServeCircuitOpenError(ServeError):
-    """Cold execution refused: the worker-pool circuit breaker is open
-    and no stale result exists to degrade onto.
-
-    Retryable: the breaker half-opens after its cooldown and closes
-    again once probes succeed.
-    """
-
-    retryable = True
-
-
-class ServeWorkerError(ServeError):
-    """The job's worker raised a (deterministic) exception.
-
-    Terminal: the sweep workers are pure functions of their payload, so
-    re-running the identical point reproduces the same failure.  The
-    worker's original exception is chained as ``__cause__``.
-    """
-
-    retryable = False
-
-
-class ServeRetryExhaustedError(ServeError):
-    """The per-request attempt cap was reached with no attempt succeeding.
-
-    Terminal for this request; the *last* attempt's failure is chained
-    as ``__cause__`` so triage sees what kept happening.
-    """
-
-    retryable = False
-
-
-def is_retryable(exc: BaseException) -> bool:
-    """The serving layer's recoverability classification of ``exc``.
-
-    ``Serve*`` errors answer for themselves via their ``retryable``
-    flag.  Outside that branch: transient injected faults and sweep
-    *infrastructure* failures (a broken pool — the worker process died,
-    the code didn't raise) are retryable; everything else — including
-    :class:`SweepPointError`, a deterministic worker exception — is not.
-    """
-    if isinstance(exc, ServeError):
-        return bool(exc.retryable)
-    if isinstance(exc, (TransientFaultError, SweepPoolError)):
-        return True
-    return False

@@ -23,7 +23,7 @@ turns "a workload" into a first-class, engine-agnostic object:
     shared :mod:`repro.obs.slo` latency block + per-pair delivered
     bandwidth; :func:`run_cp_phases` runs a description's CP phases on
     the event/compiled SCA engines; :func:`evaluate_workload_point` is
-    the picklable sweep/serve worker.
+    the picklable sweep worker.
 
 Every family is differentially fuzzed (reference vs fast mesh engines,
 event vs compiled SCA engines) by the ``workload`` kind in

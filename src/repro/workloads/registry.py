@@ -4,7 +4,7 @@ A *workload family* is a named builder that turns a flat dict of
 JSON-scalar parameters into a :class:`TrafficDescription`.  Keeping the
 parameters scalar is a hard rule, not a convenience: the resolved
 ``(name, params)`` pair is exactly what :func:`repro.store.keys.point_key`
-hashes for sweep/serve payloads, so two requests for the same traffic
+hashes for sweep payloads, so two requests for the same traffic
 must canonicalize to the same dict — no aliases, no derived fields, no
 nested structures with ambiguous encodings.
 
@@ -84,7 +84,7 @@ class TrafficDescription:
     """What a workload *is*, independent of any engine.
 
     ``params`` is the fully resolved (defaults-merged) parameter dict —
-    the canonical sweep/serve payload.  ``memory_nodes`` lists every
+    the canonical sweep payload.  ``memory_nodes`` lists every
     node that should get a memory interface (with reorder cost) before
     the mesh run; peer-to-peer patterns leave it empty.  ``packets``
     are freshly constructed per :func:`build_workload` call, so a

@@ -2,7 +2,7 @@
 
 :func:`run_on_mesh` is the one mesh driver every consumer shares — the
 ``repro obs`` CLI, the ``workload`` fuzz kind, the delivered-bandwidth
-bench, and the sweep/serve worker all call it, so they all report the
+bench, and the sweep worker all call it, so they all report the
 same numbers: the aggregate :mod:`repro.obs.slo` latency block
 (P50/P95/P99 from the shared histogram) plus the FM16-style per-pair
 table (offered flits, delivered bandwidth in flits/cycle, per-pair
@@ -13,11 +13,11 @@ description's CP epochs on a PSCAN (event or compiled engine), nodes
 spread evenly along the waveguide, the receiver at the far end.
 
 :func:`evaluate_workload_point` is the module-level (picklable)
-``fn(**point) -> dict`` worker the sweep runtime and the job server
-require; the point carries the registry name, the engine, and the
-family params — all of which land in the content-addressed
-``point_key``, so a ``fast`` result can never alias a ``reference`` one
-and two spellings of the same traffic cannot miss the cache.
+``fn(**point) -> dict`` worker the sweep runtime requires; the point
+carries the registry name, the engine, and the family params — all of
+which land in the content-addressed ``point_key``, so a ``fast`` result
+can never alias a ``reference`` one and two spellings of the same
+traffic cannot miss the cache.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class WorkloadRunResult:
         return self.stats.flits_delivered / max(1, self.stats.cycles)
 
     def to_payload(self) -> dict[str, Any]:
-        """Strict-JSON summary for sweep/serve results and the CLI."""
+        """Strict-JSON summary for sweep results and the CLI."""
         return {
             "ok": True,
             "workload": self.name,
@@ -214,7 +214,7 @@ def evaluate_workload_point(
     reorder: int = 4,
     **params: Any,
 ) -> dict[str, Any]:
-    """Sweep/serve worker: build + run one registry point, JSON result.
+    """Sweep worker: build + run one registry point, JSON result.
 
     Everything that affects the answer — registry name, engine, reorder
     cost, family params — is in the point, hence in ``point_key``: no

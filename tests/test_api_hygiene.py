@@ -23,7 +23,6 @@ PACKAGES = [
     "repro.llmore",
     "repro.util",
     "repro.store",
-    "repro.serve",
     "repro.faults",
     "repro.workloads",
     "repro.build",
@@ -32,10 +31,6 @@ PACKAGES = [
 MODULES = [
     "repro.viz",
     "repro.cli",
-    "repro.serve.cli",
-    "repro.serve.server",
-    "repro.store.leases",
-    "repro.faults.chaos",
     "repro.report",
     "repro.sim.engine",
     "repro.core.pscan",

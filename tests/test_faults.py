@@ -12,6 +12,8 @@ Covers the acceptance criteria of the resilience PR:
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.pscan import Pscan
 from repro.core.schedule import gather_schedule, transpose_order
@@ -296,6 +298,40 @@ class TestReliableGather:
         assert [policy.backoff_for(i) for i in range(1, 6)] == [
             8, 16, 32, 32, 32
         ]
+
+
+retry_policies = st.builds(
+    RetryPolicy,
+    max_retries=st.integers(0, 8),
+    backoff_cycles=st.integers(0, 512),
+    backoff_factor=st.floats(1.0, 4.0, allow_nan=False),
+    max_backoff_cycles=st.integers(0, 4096),
+)
+
+
+class TestBackoffSchedule:
+    """Properties of the plain capped-exponential backoff schedule."""
+
+    @given(policy=retry_policies, index=st.integers(1, 12))
+    @settings(max_examples=200)
+    def test_bounded_by_zero_and_cap(self, policy, index):
+        assert 0 <= policy.backoff_for(index) <= policy.max_backoff_cycles
+
+    @given(policy=retry_policies, index=st.integers(1, 12))
+    @settings(max_examples=200)
+    def test_monotone_in_retry_index(self, policy, index):
+        assert policy.backoff_for(index) <= policy.backoff_for(index + 1)
+
+    @given(index=st.integers(1, 12))
+    def test_matches_closed_form(self, index):
+        policy = RetryPolicy(
+            backoff_cycles=8, backoff_factor=2.0, max_backoff_cycles=32
+        )
+        assert policy.backoff_for(index) == min(8 * 2 ** (index - 1), 32)
+
+    def test_retry_index_is_one_based(self):
+        with pytest.raises(ConfigError):
+            RetryPolicy().backoff_for(0)
 
 
 # ---------------------------------------------------------------------------

@@ -363,6 +363,70 @@ class TestGc:
 
 
 # ---------------------------------------------------------------------------
+# foreign files in a checkpoint directory
+# ---------------------------------------------------------------------------
+
+
+class TestForeignFiles:
+    """A file the store did not write must not wedge status or gc."""
+
+    def _store_with_orphan(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.ensure_dirs()
+        orphan = point_key(_worker_b, 0)
+        store.store(orphan, "v")
+        return store, orphan
+
+    def _status_and_gc_survive(self, store, orphan, capsys):
+        from repro.store.cli import main
+
+        assert main(["status", "--checkpoint", str(store.root)]) == 0
+        assert "error" not in capsys.readouterr().out
+        assert store.gc().removed == 1
+        assert not store.has(orphan)
+
+    def test_non_object_manifest_skipped(self, tmp_path, capsys):
+        store, orphan = self._store_with_orphan(tmp_path)
+        junk = store.runs_dir / "a.json"
+        junk.write_text("[]")
+        with pytest.raises(ConfigError, match="not a JSON object"):
+            SweepManifest.load(junk)
+        assert list(SweepManifest.iter_dir(store.runs_dir)) == []
+        self._status_and_gc_survive(store, orphan, capsys)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"schema_version": 1},
+            {"schema_version": 1, "worker": 5, "fingerprint": "f", "keys": []},
+            {"schema_version": 1, "worker": "w", "fingerprint": "f", "keys": [1]},
+        ],
+        ids=["missing-fields", "non-string-worker", "malformed-key"],
+    )
+    def test_malformed_manifest_skipped(self, tmp_path, capsys, payload):
+        store, orphan = self._store_with_orphan(tmp_path)
+        junk = store.runs_dir / "a.json"
+        junk.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match="malformed sweep manifest"):
+            SweepManifest.load(junk)
+        assert list(SweepManifest.iter_dir(store.runs_dir)) == []
+        self._status_and_gc_survive(store, orphan, capsys)
+
+    @pytest.mark.parametrize(
+        "name", ["README.pkl", "0123456789abcdef.pkl"],
+        ids=["not-a-key", "key-in-wrong-shard"],
+    )
+    def test_non_key_object_file_ignored(self, tmp_path, capsys, name):
+        store, orphan = self._store_with_orphan(tmp_path)
+        foreign = store.objects_dir / "zz" / name
+        foreign.parent.mkdir()
+        foreign.write_bytes(b"not a store object")
+        assert list(store.keys()) == [orphan]
+        self._status_and_gc_survive(store, orphan, capsys)
+        assert foreign.exists()
+
+
+# ---------------------------------------------------------------------------
 # interrupt safety
 # ---------------------------------------------------------------------------
 
@@ -403,132 +467,3 @@ class TestStoreInterrupt:
             store.store(key, "v")
         assert not store.has(key)
         assert not list(store._object_path(key).parent.glob("*.tmp"))
-
-
-# ---------------------------------------------------------------------------
-# serve journal + stale index (repro.store.leases)
-# ---------------------------------------------------------------------------
-
-
-class TestServeJournal:
-    def _journal(self, tmp_path):
-        from repro.store.leases import ServeJournal
-
-        return ServeJournal(tmp_path / "serve.journal")
-
-    def _submit(self, journal, job_id, **kw):
-        defaults = dict(tenant="a", workload="noop", point_json="{}",
-                        key="ab" * 32, priority=0, deadline_wall=1e10)
-        defaults.update(kw)
-        journal.submit(job_id, **defaults)
-
-    def test_replay_pending_excludes_committed(self, tmp_path):
-        journal = self._journal(tmp_path)
-        self._submit(journal, "j-1")
-        self._submit(journal, "j-2", tenant="b", priority=3)
-        journal.lease("j-1", key="ab" * 32, attempt=1)
-        journal.lease("j-1", key="ab" * 32, attempt=2)
-        journal.commit("j-1", state="done", detail="cold")
-        replay = journal.replay()
-        assert [e.job_id for e in replay.pending] == ["j-2"]
-        assert replay.pending[0].priority == 3
-        assert replay.completed["j-1"].state == "done"
-        assert replay.leases == {"j-1": 2}
-        assert replay.skipped_lines == 0
-
-    def test_last_submit_wins_on_reingest(self, tmp_path):
-        journal = self._journal(tmp_path)
-        self._submit(journal, "j-1", point_json='{"x": 1}')
-        self._submit(journal, "j-1", point_json='{"x": 1}', priority=5)
-        replay = journal.replay()
-        assert len(replay.pending) == 1
-        assert replay.pending[0].priority == 5
-        assert replay.pending[0].point() == {"x": 1}
-
-    def test_torn_trailing_line_skipped(self, tmp_path):
-        journal = self._journal(tmp_path)
-        self._submit(journal, "j-1")
-        with journal.path.open("a") as fh:
-            fh.write('{"schema": 1, "op": "comm')  # SIGKILL mid-append
-        replay = journal.replay()
-        assert replay.skipped_lines == 1
-        assert [e.job_id for e in replay.pending] == ["j-1"]
-
-    def test_foreign_schema_skipped(self, tmp_path):
-        journal = self._journal(tmp_path)
-        with journal.path.open("a") as fh:
-            fh.write('{"schema": 99, "op": "submit", "job_id": "x"}\n')
-        self._submit(journal, "j-1")
-        replay = journal.replay()
-        assert replay.skipped_lines == 1
-        assert [e.job_id for e in replay.pending] == ["j-1"]
-
-    def test_missing_journal_is_empty_replay(self, tmp_path):
-        replay = self._journal(tmp_path).replay()
-        assert replay.pending == [] and replay.completed == {}
-
-    def test_max_sequence_over_numeric_suffixes(self, tmp_path):
-        journal = self._journal(tmp_path)
-        self._submit(journal, "srv-7")
-        self._submit(journal, "tenant-abc123")  # non-numeric tail ignored
-        journal.commit("srv-12", state="done")
-        assert journal.replay().max_sequence == 12
-
-    def test_entry_validation(self):
-        from repro.store.leases import ServeJournalEntry
-
-        with pytest.raises(ConfigError):
-            ServeJournalEntry(op="banana", job_id="j", ts=0.0)
-        with pytest.raises(ConfigError):
-            ServeJournalEntry(op="submit", job_id="", ts=0.0)
-
-
-class TestStaleIndex:
-    def test_record_and_lookup(self, tmp_path):
-        from repro.store.leases import StaleIndex
-
-        index = StaleIndex(tmp_path)
-        identity = "ab" * 32
-        assert index.lookup(identity) is None
-        index.record(identity, "cd" * 32)
-        assert index.lookup(identity) == "cd" * 32
-        index.record(identity, "ef" * 32)  # newer commit supersedes
-        assert index.lookup(identity) == "ef" * 32
-
-    def test_ttl_expires_old_records(self, tmp_path):
-        from repro.store.leases import StaleIndex
-
-        index = StaleIndex(tmp_path)
-        identity = "ab" * 32
-        index.record(identity, "cd" * 32, ts=1000.0)  # long ago
-        assert index.lookup(identity, max_age_s=60.0) is None
-        assert index.lookup(identity) == "cd" * 32  # unbounded accepts it
-
-    def test_malformed_identity_rejected(self, tmp_path):
-        from repro.store.leases import StaleIndex
-
-        with pytest.raises(ConfigError):
-            StaleIndex(tmp_path).record("../escape", "cd" * 32)
-
-    def test_corrupt_record_reads_as_missing(self, tmp_path):
-        from repro.store.leases import StaleIndex
-
-        index = StaleIndex(tmp_path)
-        identity = "ab" * 32
-        index.record(identity, "cd" * 32)
-        index._path(identity).write_text("{torn")
-        assert index.lookup(identity) is None
-
-
-class TestPointIdentity:
-    def test_fingerprint_agnostic_and_point_sensitive(self):
-        from repro.store.leases import point_identity
-
-        a = point_identity("noop", {"x": 1, "y": 2})
-        assert a == point_identity("noop", {"y": 2, "x": 1})  # order-free
-        assert a != point_identity("noop", {"x": 1, "y": 3})
-        assert a != point_identity("other", {"x": 1, "y": 2})
-        # No code fingerprint in the identity: it is a pure function of
-        # (workload name, point) — unlike point_key, which folds in the
-        # worker source so edits invalidate the cache.
-        assert a == point_identity("noop", {"x": 1, "y": 2})

@@ -5,7 +5,7 @@ TrafficDescription), the built-in families' traffic shapes, the
 reference-vs-fast byte-identity of every family through the shared
 runner (including the SLO latency block and the per-pair table), the
 event-vs-compiled identity of the photonic lowerings, the traffic
-linter, and the picklable sweep/serve worker.
+linter, and the picklable sweep worker.
 """
 
 from __future__ import annotations
@@ -266,16 +266,9 @@ class TestWorkers:
         assert payload["delivered_bandwidth"] > 0
 
     def test_worker_is_picklable(self):
-        # The sweep process pool and the job server both require it.
+        # The sweep process pool requires it.
         assert pickle.loads(pickle.dumps(evaluate_workload_point)) \
             is evaluate_workload_point
-
-    def test_serve_worker_registered(self):
-        from repro.serve.jobs import resolve_workload
-
-        fn = resolve_workload("workload")
-        result = fn(name="halo2d", engine="fast", processors=9, halo=1)
-        assert result["ok"] and result["workload"] == "halo2d"
 
     def test_obs_cli_exposes_zoo_families(self):
         from repro.obs.workloads import WORKLOADS
