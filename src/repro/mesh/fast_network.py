@@ -188,8 +188,8 @@ class FastMeshNetwork(MeshNetwork):
                 self._hol_out[c] = -1
             self._to_route.discard(c)
 
-    def inject(self, packet: Any) -> None:
-        super().inject(packet)
+    def _queue_flits(self, packet: Any, inject_cycle: int) -> None:
+        super()._queue_flits(packet, inject_cycle)
         self._inj_dirty.add(self._nidx[packet.source])
 
     def _arm_faults(self) -> None:

@@ -59,7 +59,7 @@ class Packet:
     dest: tuple[int, int]
     payloads: list[Any] = field(default_factory=list)
     header_flits: int = 1
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = field(default_factory=_packet_ids.__next__)
     created_cycle: int = 0
 
     def __post_init__(self) -> None:

@@ -328,23 +328,32 @@ class MeshNetwork:
         self.stats.memory_busy_cycles.setdefault(node, 0)
 
     def inject(self, packet: Packet) -> None:
-        """Queue a packet for injection at its source node."""
+        """Admit a packet for injection at its source node.
+
+        Admission — node checks, latency bookkeeping, the pending-flit
+        count and the ``mesh_inject`` hook — is shared by every engine;
+        :meth:`_queue_flits` is the engine-specific step that holds the
+        packet until the run picks it up.
+        """
         self.topology.require_node(packet.source)
         self.topology.require_node(packet.dest)
-        flits = packet.flits()
-        for f in flits:
-            f.injected_cycle = max(self.cycle, packet.created_cycle)
-        self._packet_meta[packet.packet_id] = (
-            max(self.cycle, packet.created_cycle),
-            packet.source,
-        )
-        self._inject[packet.source].extend(flits)
-        self._pending_flits += len(flits)
+        inject_cycle = max(self.cycle, packet.created_cycle)
+        self._packet_meta[packet.packet_id] = (inject_cycle, packet.source)
+        flit_count = packet.flit_count
+        self._pending_flits += flit_count
+        self._queue_flits(packet, inject_cycle)
         if self._obs is not None:
             self._obs.mesh_inject(
                 self.cycle, packet.packet_id, packet.source, packet.dest,
-                len(flits),
+                flit_count,
             )
+
+    def _queue_flits(self, packet: Packet, inject_cycle: int) -> None:
+        """Expand ``packet`` into its flit train on the source's queue."""
+        flits = packet.flits()
+        for f in flits:
+            f.injected_cycle = inject_cycle
+        self._inject[packet.source].extend(flits)
 
     # -- fault injection ----------------------------------------------------
 

@@ -87,21 +87,21 @@ def make_transpose_gather(
             f"elements_per_packet {elements_per_packet} must divide cols {cols}"
         )
     rows = topology.node_count
+    # Packet (r, c0) carries elements (r, c0 .. c0 + elements_per_packet
+    # - 1), whose column-major addresses step by ``rows``.
+    stride = elements_per_packet * rows
     packets: list[Packet] = []
     for r in range(rows):
         src = _processor_for_row(topology, r)
-        for c0 in range(0, cols, elements_per_packet):
-            addresses = [
-                (c0 + j) * rows + r for j in range(elements_per_packet)
-            ]
-            packets.append(
-                Packet(
-                    source=src,
-                    dest=memory_node,
-                    payloads=addresses,
-                    header_flits=header_flits,
-                )
+        packets.extend(
+            Packet(
+                source=src,
+                dest=memory_node,
+                payloads=list(range(base, base + stride, rows)),
+                header_flits=header_flits,
             )
+            for base in range(r, cols * rows, stride)
+        )
     return TransposeWorkload(
         packets=tuple(packets), rows=rows, cols=cols, memory_node=memory_node
     )

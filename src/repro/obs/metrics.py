@@ -40,6 +40,8 @@ _Key = tuple[str, tuple[tuple[str, str], ...]]
 def _key(name: str, labels: dict[str, Any]) -> _Key:
     if not name:
         raise ConfigError("metric name must be non-empty")
+    if not labels:
+        return name, ()
     return name, tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 

@@ -80,6 +80,9 @@ class ObsSession:
         self._faults = active and cfg.faults
         self._phases = active and cfg.phases
         self._sweep = active and cfg.sweep
+        # (packets, flits) injection counters, resolved on first use so
+        # an untouched session exports no series.
+        self._inject_counters: Any = None
 
     @property
     def active(self) -> bool:
@@ -124,8 +127,14 @@ class ObsSession:
             )
         m = self.metrics
         if m.enabled:
-            m.counter("mesh_packets_injected").inc()
-            m.counter("mesh_flits_injected").inc(flits)
+            counters = self._inject_counters
+            if counters is None:
+                counters = self._inject_counters = (
+                    m.counter("mesh_packets_injected"),
+                    m.counter("mesh_flits_injected"),
+                )
+            counters[0].inc()
+            counters[1].inc(flits)
 
     def mesh_deliver(
         self,

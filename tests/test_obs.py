@@ -16,6 +16,7 @@ from repro.obs import (
     ObsConfig,
     ObsSession,
     SpanTracer,
+    registry_from_dict,
     registry_from_json,
     to_chrome_trace,
     validate_chrome_trace,
@@ -138,6 +139,52 @@ class TestMetricsRoundTrip:
         assert m.counter("n", node=1).value == 1
         assert m.counter("n", node=2).value == 2
         assert m.names() == ["n"]
+
+
+class TestMetricsKeys:
+    """Unlabeled series take a fast key path; labeled ones keep theirs."""
+
+    def test_unlabeled_counter_is_the_stored_series(self):
+        m = MetricsRegistry()
+        c = m.counter("x")
+        c.inc(3)
+        assert m.get("x") is c
+        assert m.counter("x") is c
+        assert m.get("x", node=1) is None
+
+    def test_mixed_labeled_and_unlabeled_round_trip(self):
+        m = MetricsRegistry()
+        m.counter("hits").inc(2)
+        m.counter("hits", node=(0, 1)).inc(5)
+        m.gauge("load").set(0.5)
+        m.gauge("load", bus=2, kind="rx").set(1.5)
+        payload = m.to_dict()
+        assert len(payload["metrics"]) == 4
+        restored = registry_from_dict(payload)
+        assert restored.to_dict() == payload
+        assert restored.counter("hits").value == 2
+        assert restored.counter("hits", node=(0, 1)).value == 5
+
+    def test_empty_name_still_rejected(self):
+        m = MetricsRegistry()
+        with pytest.raises(ConfigError):
+            m.counter("")
+        with pytest.raises(ConfigError):
+            m.get("", node=1)
+
+    def test_label_order_does_not_change_key(self):
+        m = MetricsRegistry()
+        m.counter("n", a=1, b=2).inc()
+        assert m.counter("n", b=2, a=1).value == 1
+        assert len(m) == 1
+
+    def test_session_inject_counters_created_lazily(self):
+        session = ObsSession(ObsConfig(trace=False))
+        assert session.metrics.to_dict()["metrics"] == []
+        session.mesh_inject(0, 1, (0, 0), (1, 0), 3)
+        session.mesh_inject(0, 2, (1, 0), (1, 0), 2)
+        assert session.metrics.get("mesh_packets_injected").value == 2
+        assert session.metrics.get("mesh_flits_injected").value == 5
 
 
 # -- Chrome export / validation ----------------------------------------------
